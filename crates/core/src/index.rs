@@ -209,15 +209,16 @@ impl IndexManager {
 
     /// The hit path's classify probe: if the page is resident, records the
     /// access (recency timestamp + hit count, both per-entry Relaxed
-    /// atomics) and returns the page's directory. Takes only the shard
-    /// *read* lock — concurrent hits on the same shard, and even the same
-    /// page, proceed in parallel.
-    pub fn touch(&self, id: &PageId, now_ms: u64) -> Option<usize> {
+    /// atomics) and returns the page's `(dir, size)` — all a hit needs to
+    /// be served, so the caller never clones the entry's [`PageInfo`].
+    /// Takes only the shard *read* lock — concurrent hits on the same
+    /// shard, and even the same page, proceed in parallel.
+    pub fn touch(&self, id: &PageId, now_ms: u64) -> Option<(usize, u64)> {
         let shard = self.shard(id).read();
         let entry = shard.get(id)?;
         entry.last_access_ms.store(now_ms, Ordering::Relaxed);
         entry.hits.fetch_add(1, Ordering::Relaxed);
-        Some(entry.info.dir)
+        Some((entry.info.dir, entry.info.size))
     }
 
     /// Per-entry access bookkeeping: `(last_access_ms, hits)`. Introspection
@@ -635,8 +636,8 @@ mod tests {
         assert_eq!(idx.touch(&id, 5), None, "absent page is not touched");
         idx.insert(info(1, 0, 100, CacheScope::Global, 1));
         assert_eq!(idx.access_stats(&id), Some((0, 0)));
-        assert_eq!(idx.touch(&id, 42), Some(1));
-        assert_eq!(idx.touch(&id, 99), Some(1));
+        assert_eq!(idx.touch(&id, 42), Some((1, 100)));
+        assert_eq!(idx.touch(&id, 99), Some((1, 100)));
         assert_eq!(idx.access_stats(&id), Some((99, 2)));
         // Replacement resets the per-entry bookkeeping.
         idx.insert(info(1, 0, 100, CacheScope::Global, 0));
@@ -657,7 +658,7 @@ mod tests {
                 let idx = Arc::clone(&idx);
                 std::thread::spawn(move || {
                     for i in 0..ITERS {
-                        assert_eq!(idx.touch(&id, t * ITERS + i), Some(0));
+                        assert_eq!(idx.touch(&id, t * ITERS + i), Some((0, 10)));
                     }
                 })
             })

@@ -17,7 +17,7 @@
 //! * **`No space left on device`** — a `NoSpace` from the store triggers
 //!   early eviction (before the configured capacity is reached) and a retry.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -47,6 +47,10 @@ const LOCK_STRIPES: usize = 1024;
 /// Number of single-flight table shards (power of two): misses on different
 /// pages land on different shards and never contend on one global mutex.
 const INFLIGHT_SHARDS: usize = 64;
+
+/// How many times serving one hit follows its page to a new directory
+/// after concurrent tier moves, before leaving it to the repair round.
+const TIER_MOVE_FOLLOWS: usize = 4;
 
 /// Capacity of each directory's access-event ring. Sized so batches between
 /// two policy-lock acquisitions (one per put/evict) rarely overflow; a full
@@ -121,17 +125,20 @@ impl InflightFetch {
 
 /// How one requested page will be served, decided during classification.
 enum PageClass {
-    /// Present in the index: read from the local store after the lock drops.
-    Hit,
+    /// Present in the index, in directory `dir` at `size` bytes: read from
+    /// the local store after the lock drops.
+    Hit { dir: usize, size: u64 },
     /// Missing and admitted, with this reader elected to fetch it.
     Owner { latch: Arc<InflightFetch> },
     /// Missing, but another reader is already fetching it.
     Waiter { latch: Arc<InflightFetch> },
-    /// Missing and rejected by admission: remote-read the exact range only.
+    /// Remote-read the exact requested range only, caching nothing: a miss
+    /// admission rejected, or a hit whose store read timed out (§8).
     Bypass,
 }
 
-/// One page of a (possibly multi-page) read.
+/// One distinct page of a read, with the union of the sub-ranges its
+/// fragments request.
 struct PagePlan {
     id: PageId,
     /// Absolute offset of the page in the file.
@@ -146,18 +153,28 @@ struct PagePlan {
     slot: Option<usize>,
     /// Byte offset of this page inside its slot's response.
     off_in_slot: u64,
+    /// The requested sub-range's bytes, once a stage has produced them. A
+    /// plan without a chunk is still pending: the next fetch round serves
+    /// it.
+    chunk: Option<Bytes>,
 }
 
-/// What stages 2–5 of the read pipeline produced: one chunk per plan
-/// (covering its requested sub-range) plus the raw ranged responses, kept
-/// so callers can hand out zero-copy slices of whole coalesced runs.
-struct ServedPages {
-    /// Per-plan chunk, indexed like the plan list.
-    chunks: Vec<Bytes>,
-    /// Per-slot remote responses.
-    fetched: Vec<Result<Bytes>>,
-    /// Per-slot `(offset, len)` ranges, indexed like `fetched`.
-    fetches: Vec<(u64, u64)>,
+impl PagePlan {
+    /// The requested sub-range of `page`, the page's full bytes.
+    fn cut(&self, page: &Bytes) -> Bytes {
+        let a = (self.within_off as usize).min(page.len());
+        let b = ((self.within_off + self.within_len) as usize).min(page.len());
+        page.slice(a..b)
+    }
+}
+
+/// Every remote request one read issued, across its fetch rounds: slot `i`
+/// asked for `ranges[i]` and got `results[i]`. Slots never repeat within a
+/// read, so assembly can hand out zero-copy slices of whole coalesced runs.
+#[derive(Default)]
+struct Fetches {
+    ranges: Vec<(u64, u64)>,
+    results: Vec<Result<Bytes>>,
 }
 
 /// Releases owned in-flight latches when a read unwinds before publishing
@@ -211,6 +228,13 @@ impl SourceFile {
     /// The stable cache identity of this file+version.
     pub fn file_id(&self) -> FileId {
         FileId::from_path_version(&self.path, self.version)
+    }
+
+    /// Clamps the fragment `(offset, len)` to EOF as `(start, end)`; empty
+    /// (`start == end`) when it is zero-length or lies past EOF.
+    fn clamp(&self, offset: u64, len: u64) -> (u64, u64) {
+        let end = offset.saturating_add(len).min(self.length);
+        (offset, end.max(offset))
     }
 }
 
@@ -287,6 +311,7 @@ struct HotMetrics {
     misses: Arc<Counter>,
     page_reads: Arc<Counter>,
     vectored_reads: Arc<Counter>,
+    vectored_fragments: Arc<Histogram>,
     puts: Arc<Counter>,
     bytes_written: Arc<Counter>,
     bytes_requested: Arc<Counter>,
@@ -323,6 +348,7 @@ impl HotMetrics {
             misses: m.counter("misses"),
             page_reads: m.counter("page_reads"),
             vectored_reads: m.counter("vectored_reads"),
+            vectored_fragments: m.histogram("vectored.fragments"),
             puts: m.counter("puts"),
             bytes_written: m.counter("bytes_written"),
             bytes_requested: m.counter("bytes_requested"),
@@ -726,7 +752,9 @@ impl CacheManager {
     /// Reads `len` bytes at `offset` from `file`, serving cached pages
     /// locally and fetching missing pages read-through from `source`.
     ///
-    /// Misses go through a three-stage pipeline:
+    /// This is a one-fragment [`Self::read_multi`]: both run the same
+    /// pipeline under their own trace names (`cache.read` / `classify`
+    /// here), and only `read_multi` counts vectored batches. Per read:
     ///
     /// 1. **Classify** — each page is classified under its stripe lock
     ///    (held briefly, never across I/O) as a local hit, an in-flight
@@ -739,6 +767,10 @@ impl CacheManager {
     ///    just for the insert) and released through per-page single-flight
     ///    latches, so N concurrent readers of one cold page produce exactly
     ///    one remote request.
+    /// 4. **Serve** — hits are read from the local store. A hit that
+    ///    degrades (§8: evicted, lost, corrupt, unreadable, or hung) is
+    ///    repaired by one more fetch round, where it rejoins single-flight
+    ///    like any other miss.
     pub fn read(
         &self,
         file: &SourceFile,
@@ -746,63 +778,12 @@ impl CacheManager {
         len: u64,
         source: &dyn RemoteSource,
     ) -> Result<Bytes> {
-        let end = offset.saturating_add(len).min(file.length);
-        if offset >= end {
-            return Ok(Bytes::new());
-        }
-        self.hot.bytes_requested.add(end - offset);
-        let mut root = self.tracer.span("cache.read");
-        root.annotate("path", &file.path);
-        root.annotate("offset", offset);
-        root.annotate("len", end - offset);
-
-        // Stage 1: classify (no I/O while any lock is held).
-        let mut classify_span = self.tracer.child(root.id(), "classify");
-        let mut plans = self.classify(file, offset, end, classify_span.id());
-        if classify_span.is_recording() {
-            let count = |f: fn(&PageClass) -> bool| plans.iter().filter(|p| f(&p.class)).count();
-            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit)));
-            classify_span.annotate("waiters", count(|c| matches!(c, PageClass::Waiter { .. })));
-            classify_span.annotate("owned", count(|c| matches!(c, PageClass::Owner { .. })));
-            classify_span.annotate("bypass", count(|c| matches!(c, PageClass::Bypass)));
-        }
-        classify_span.finish();
-        // Every page this read touches, hit or miss — the conservation
-        // anchor: page_reads == hits + misses + fallbacks.timeout.
-        self.hot.page_reads.add(plans.len() as u64);
-
-        let served = self.fetch_publish_serve(file, &mut plans, source, root.id())?;
-
-        // A cold sequential read served by one coalesced run is the common
-        // case: return a single zero-copy slice of the ranged response.
-        if plans.len() > 1
-            && plans
-                .iter()
-                .all(|p| matches!(p.class, PageClass::Owner { .. }) && p.slot == plans[0].slot)
-        {
-            let slot = plans[0].slot.expect("owner pages are planned a fetch slot");
-            if let Ok(bytes) = &served.fetched[slot] {
-                let base = served.fetches[slot].0;
-                let a = ((offset - base) as usize).min(bytes.len());
-                let b = ((end - base) as usize).min(bytes.len());
-                return Ok(bytes.slice(a..b));
-            }
-        }
-
-        // Assemble. A single chunk is returned zero-copy; stitching several
-        // counts the copied bytes.
+        let fragment = [(offset, len)];
+        let (root, plans, fetches) =
+            self.read_pipeline(file, &fragment, source, ("cache.read", "classify"))?;
         let _assemble_span = self.tracer.child(root.id(), "assemble");
-        let mut parts = served.chunks;
-        if parts.len() == 1 {
-            return Ok(parts.pop().expect("one part"));
-        }
-        let total: usize = parts.iter().map(Bytes::len).sum();
-        self.hot.bytes_copied.add(total as u64);
-        let mut out = BytesMut::with_capacity(total);
-        for part in &parts {
-            out.extend_from_slice(part);
-        }
-        Ok(out.freeze())
+        let (start, end) = file.clamp(offset, len);
+        Ok(self.assemble(&plans, &fetches, start, end))
     }
 
     /// Reads several `(offset, len)` fragments of `file` in one vectored
@@ -811,11 +792,8 @@ impl CacheManager {
     ///
     /// Fragmented columnar scans — the paper's dominant workload (§5) — ask
     /// for many small ranges of one file at once: the projected column
-    /// chunks of a row group. Issued through [`Self::read`] one at a time
-    /// they classify, fetch, and publish per fragment, so misses on
-    /// different fragments never share a wire round-trip. This entry point
-    /// runs the same classify → fetch → publish pipeline once over the
-    /// union of all fragments:
+    /// chunks of a row group. This entry point runs the classify → fetch →
+    /// publish pipeline once over the union of all fragments:
     ///
     /// * every *distinct* page is classified exactly once, even when
     ///   fragments overlap, repeat, or arrive out of order (duplicates
@@ -823,8 +801,8 @@ impl CacheManager {
     /// * runs of file-adjacent owned pages coalesce **across fragment
     ///   boundaries** into single ranged remote requests, dispatched
     ///   concurrently on the persistent fetch pool;
-    /// * per-page single-flight latches publish exactly as [`Self::read`]
-    ///   does, so concurrent readers (vectored or not) interleave safely;
+    /// * per-page single-flight latches make concurrent readers (vectored
+    ///   or not) interleave safely;
     /// * a fragment covered by one page chunk or one coalesced run is
     ///   returned as a zero-copy slice; only fragments spanning several
     ///   sources are stitched (counted in `bytes_copied`).
@@ -840,159 +818,170 @@ impl CacheManager {
         if fragments.is_empty() {
             return Ok(Vec::new());
         }
+        self.hot.vectored_reads.inc();
+        self.hot.vectored_fragments.record(fragments.len() as u64);
+        let (root, plans, fetches) = self.read_pipeline(
+            file,
+            fragments,
+            source,
+            ("cache.read_multi", "vectored_classify"),
+        )?;
+        let _assemble_span = self.tracer.child(root.id(), "assemble");
+        Ok(fragments
+            .iter()
+            .map(|&(offset, len)| {
+                let (start, end) = file.clamp(offset, len);
+                self.assemble(&plans, &fetches, start, end)
+            })
+            .collect())
+    }
+
+    /// The read pipeline behind [`Self::read`] and [`Self::read_multi`],
+    /// up to assembly. `names` are the root and classify span names.
+    /// Returns the still-open root span (the caller's assembly stage is its
+    /// last child), one plan per distinct page in ascending order, each
+    /// holding its chunk, and every remote response.
+    fn read_pipeline(
+        &self,
+        file: &SourceFile,
+        fragments: &[(u64, u64)],
+        source: &dyn RemoteSource,
+        names: (&'static str, &'static str),
+    ) -> Result<(Span, Vec<PagePlan>, Fetches)> {
         let ps = self.page_size();
-        let mut root = self.tracer.span("cache.read_multi");
+        let mut root = self.tracer.span(names.0);
         root.annotate("path", &file.path);
         root.annotate("fragments", fragments.len());
 
-        // Stage 0: plan fragments — clamp each to EOF and union the
-        // requested sub-range of every distinct page touched. Pure
-        // bookkeeping: no locks, no I/O. Degenerate fragments (zero-length
-        // or entirely past EOF) resolve to empty buffers.
+        // Stage 0: plan fragments — clamp each to EOF and plan every
+        // distinct page touched, with the union of its requested
+        // page-relative sub-ranges. Pure bookkeeping: no locks, no I/O. The
+        // union may over-read the gap between two fragments landing on the
+        // same page; it never crosses a page.
         let mut plan_frag_span = self.tracer.child(root.id(), "plan_fragments");
         let mut requested = 0u64;
-        let clamped: Vec<(u64, u64)> = fragments
-            .iter()
-            .map(|&(offset, len)| {
-                let end = offset.saturating_add(len).min(file.length);
-                if offset >= end {
-                    (offset, offset)
-                } else {
-                    requested += end - offset;
-                    (offset, end)
-                }
-            })
-            .collect();
+        let mut touched = 0u64;
+        for &(offset, len) in fragments {
+            let (start, end) = file.clamp(offset, len);
+            if start < end {
+                requested += end - start;
+                touched += (end - 1) / ps - start / ps + 1;
+            }
+        }
         self.hot.bytes_requested.add(requested);
-        // Distinct pages in ascending order → union of requested
-        // page-relative sub-ranges. The union may over-read the gap between
-        // two fragments landing on the same page; it never crosses a page.
-        let mut pages: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-        for &(start, end) in &clamped {
+        let file_id = file.file_id();
+        let mut plans = Vec::with_capacity(touched as usize);
+        for &(offset, len) in fragments {
+            let (start, end) = file.clamp(offset, len);
             if start >= end {
                 continue;
             }
             for idx in start / ps..=(end - 1) / ps {
                 let page_start = idx * ps;
-                let a = start.max(page_start) - page_start;
-                let b = end.min(page_start + ps) - page_start;
-                let entry = pages.entry(idx).or_insert((a, b));
-                entry.0 = entry.0.min(a);
-                entry.1 = entry.1.max(b);
+                let within_off = start.max(page_start) - page_start;
+                plans.push(PagePlan {
+                    id: PageId::new(file_id, idx),
+                    page_start,
+                    page_len: ps.min(file.length - page_start),
+                    within_off,
+                    within_len: end.min(page_start + ps) - page_start - within_off,
+                    // Placeholder: stage 1 classifies every plan.
+                    class: PageClass::Bypass,
+                    slot: None,
+                    off_in_slot: 0,
+                    chunk: None,
+                });
             }
+        }
+        // One fragment's pages are already ascending and distinct.
+        if fragments.len() > 1 {
+            plans.sort_unstable_by_key(|p| p.id.index);
+            plans.dedup_by(|dup, kept| {
+                if dup.id != kept.id {
+                    return false;
+                }
+                let end = (kept.within_off + kept.within_len).max(dup.within_off + dup.within_len);
+                kept.within_off = kept.within_off.min(dup.within_off);
+                kept.within_len = end - kept.within_off;
+                true
+            });
         }
         if plan_frag_span.is_recording() {
             plan_frag_span.annotate("bytes", requested);
-            plan_frag_span.annotate("pages", pages.len());
+            plan_frag_span.annotate("pages", plans.len());
         }
         plan_frag_span.finish();
 
-        // Stage 1: vectored classify — one classification per distinct
-        // page, under its stripe lock (no I/O while any lock is held). A
-        // page shared by two fragments must not wait on its own latch, so
-        // deduplication above is what makes overlap safe.
-        let mut classify_span = self.tracer.child(root.id(), "vectored_classify");
-        let file_id = file.file_id();
+        // Stage 1: classify — once per distinct page, so a page shared by
+        // two fragments never waits on its own latch.
+        let mut classify_span = self.tracer.child(root.id(), names.1);
         let now = self.now_ms();
-        let mut plans = Vec::with_capacity(pages.len());
-        let mut page_pos: HashMap<u64, usize> = HashMap::with_capacity(pages.len());
-        for (&idx, &(within_off, within_end)) in &pages {
-            let page_start = idx * ps;
-            let id = PageId::new(file_id, idx);
-            let class = self.classify_page(file, id, now, classify_span.id());
-            page_pos.insert(idx, plans.len());
-            plans.push(PagePlan {
-                id,
-                page_start,
-                page_len: ps.min(file.length - page_start),
-                within_off,
-                within_len: within_end - within_off,
-                class,
-                slot: None,
-                off_in_slot: 0,
-            });
+        for plan in plans.iter_mut() {
+            plan.class = self.classify_page(file, plan.id, now, classify_span.id());
         }
         if classify_span.is_recording() {
             let count = |f: fn(&PageClass) -> bool| plans.iter().filter(|p| f(&p.class)).count();
-            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit)));
+            classify_span.annotate("hits", count(|c| matches!(c, PageClass::Hit { .. })));
             classify_span.annotate("waiters", count(|c| matches!(c, PageClass::Waiter { .. })));
             classify_span.annotate("owned", count(|c| matches!(c, PageClass::Owner { .. })));
             classify_span.annotate("bypass", count(|c| matches!(c, PageClass::Bypass)));
         }
         classify_span.finish();
+        // Every page this read touches, hit or miss — the conservation
+        // anchor: page_reads == hits + misses + fallbacks.timeout.
         self.hot.page_reads.add(plans.len() as u64);
-        self.hot.vectored_reads.inc();
-        self.metrics
-            .histogram("vectored.fragments")
-            .record(fragments.len() as u64);
 
-        let served = self.fetch_publish_serve(file, &mut plans, source, root.id())?;
+        // Stages 2–4: fetch, publish and collect the misses.
+        let mut fetches = Fetches::default();
+        let fetched = self.fetch_round(file, &mut plans, source, &mut fetches, root.id());
 
-        // Stage 6: assemble one buffer per fragment. Each plan's chunk
-        // covers the page's *union* sub-range, so a fragment slices its own
-        // bytes back out; a fragment covered by a single chunk or a single
-        // coalesced owner run stays zero-copy.
-        let _assemble_span = self.tracer.child(root.id(), "assemble");
-        let mut out = Vec::with_capacity(clamped.len());
-        for &(start, end) in &clamped {
-            if start >= end {
-                out.push(Bytes::new());
-                continue;
+        // Stage 5: serve hits from the local store (I/O outside the locks),
+        // even when the fetch failed: every classified page then counts as
+        // a hit, a miss, or a timeout, and a read that misses part of an
+        // object still balances the page-read identity.
+        let serve_span = self.tracer.child(root.id(), "serve");
+        for plan in plans.iter_mut() {
+            if let PageClass::Hit { dir, size } = plan.class {
+                self.serve_hit(plan, dir, size, serve_span.id());
             }
-            let first = start / ps;
-            let last = (end - 1) / ps;
-            if first == last {
-                let plan = &plans[page_pos[&first]];
-                let chunk = &served.chunks[page_pos[&first]];
-                let rel = (start - (plan.page_start + plan.within_off)) as usize;
-                out.push(chunk.slice(rel..rel + (end - start) as usize));
-                continue;
-            }
-            // Whole fragment inside one coalesced owner run: one slice of
-            // the ranged response.
-            let run_slot = plans[page_pos[&first]].slot;
-            let one_run = run_slot.is_some()
-                && (first..=last).all(|idx| {
-                    let p = &plans[page_pos[&idx]];
-                    matches!(p.class, PageClass::Owner { .. }) && p.slot == run_slot
-                });
-            if one_run {
-                let slot = run_slot.expect("checked above");
-                if let Ok(bytes) = &served.fetched[slot] {
-                    let base = served.fetches[slot].0;
-                    let a = ((start - base) as usize).min(bytes.len());
-                    let b = ((end - base) as usize).min(bytes.len());
-                    out.push(bytes.slice(a..b));
-                    continue;
+        }
+        serve_span.finish();
+        fetched?;
+
+        // Stage 6: repair. Hits that degraded while being served have no
+        // chunk. A timed-out read already became an exact-range bypass; the
+        // rest are re-classified as misses — never as hits, so no page is
+        // read from the local store twice in one call — and one more fetch
+        // round serves them all, through the same single-flight latches.
+        let pending = plans.iter().filter(|p| p.chunk.is_none()).count();
+        if pending > 0 {
+            let mut fallback_span = self.tracer.child(root.id(), "remote_fallback");
+            fallback_span.annotate("pages", pending);
+            for plan in plans.iter_mut().filter(|p| p.chunk.is_none()) {
+                if matches!(plan.class, PageClass::Hit { .. }) {
+                    let _guard = self.stripe(plan.id).lock();
+                    plan.class = self.classify_miss(file, plan.id, now, fallback_span.id());
                 }
             }
-            self.hot.bytes_copied.add(end - start);
-            let mut buf = BytesMut::with_capacity((end - start) as usize);
-            for idx in first..=last {
-                let plan = &plans[page_pos[&idx]];
-                let chunk = &served.chunks[page_pos[&idx]];
-                let a = start.max(plan.page_start);
-                let b = end.min(plan.page_start + plan.page_len);
-                let base = plan.page_start + plan.within_off;
-                buf.extend_from_slice(&chunk[(a - base) as usize..(b - base) as usize]);
-            }
-            out.push(buf.freeze());
+            self.fetch_round(file, &mut plans, source, &mut fetches, fallback_span.id())?;
         }
-        Ok(out)
+        Ok((root, plans, fetches))
     }
 
-    /// Stages 2–5 shared by [`Self::read`] and [`Self::read_multi`]: plan
-    /// and execute remote fetches, publish owned pages, serve hits, and
-    /// collect waiter/bypass pages. On success every plan has produced a
-    /// chunk covering exactly its requested sub-range
-    /// (`within_off .. within_off + within_len`, page-relative).
-    fn fetch_publish_serve(
+    /// Stages 2–4 over every plan that has no chunk yet: plan and
+    /// execute the remote fetches, publish owned pages, then collect the
+    /// pages concurrent readers fetched for us and the exact-range slots.
+    /// This is the only place the cache reads from the remote, and owned
+    /// pages are published (and their admission slots released) nowhere
+    /// else. New slots are appended to `fetches`.
+    fn fetch_round(
         &self,
         file: &SourceFile,
         plans: &mut [PagePlan],
         source: &dyn RemoteSource,
-        root: SpanId,
-    ) -> Result<ServedPages> {
+        fetches: &mut Fetches,
+        parent: SpanId,
+    ) -> Result<()> {
         // Owned latches must be released even if this read errors or
         // panics, or waiters would block forever.
         let mut cleanup = LatchCleanup {
@@ -1001,21 +990,22 @@ impl CacheManager {
             pending: Vec::new(),
         };
         for (pos, plan) in plans.iter().enumerate() {
-            if let PageClass::Owner { latch } = &plan.class {
+            if let (PageClass::Owner { latch }, None) = (&plan.class, &plan.chunk) {
                 cleanup.pending.push((pos, plan.id, Arc::clone(latch)));
             }
         }
 
         // Stage 2: coalesce owned misses into runs and fetch them (plus any
-        // admission bypasses) concurrently.
-        let mut plan_span = self.tracer.child(root, "plan_fetches");
-        let fetches = self.plan_fetches(plans);
-        plan_span.annotate("ranges", fetches.len());
+        // exact-range slots) concurrently.
+        let first = fetches.ranges.len();
+        let mut plan_span = self.tracer.child(parent, "plan_fetches");
+        self.plan_fetches(plans, &mut fetches.ranges);
+        plan_span.annotate("ranges", fetches.ranges.len() - first);
         plan_span.finish();
-        let mut fetch_span = self.tracer.child(root, "remote_fetch");
-        let mut fetched = self.execute_fetches(file, &fetches, source, fetch_span.id());
+        let mut fetch_span = self.tracer.child(parent, "remote_fetch");
+        let fetched = self.execute_fetches(file, &fetches.ranges[first..], source, fetch_span.id());
         if fetch_span.is_recording() {
-            fetch_span.annotate("ranges", fetches.len());
+            fetch_span.annotate("ranges", fetched.len());
             fetch_span.annotate(
                 "bytes",
                 fetched
@@ -1026,30 +1016,19 @@ impl CacheManager {
             );
         }
         fetch_span.finish();
+        fetches.results.extend(fetched);
 
         // [`Error`] is not `Clone`: keep the first failure for the caller,
         // leaving a stringified copy in the slot for latch publication.
-        let mut first_error: Option<Error> = None;
-        for slot in fetched.iter_mut() {
-            if first_error.is_some() {
-                break;
-            }
-            if slot.is_ok() {
-                continue;
-            }
-            let msg = slot
-                .as_ref()
-                .err()
-                .map(|e| e.to_string())
-                .unwrap_or_default();
-            first_error = Some(std::mem::replace(slot, Err(Error::Other(msg))).unwrap_err());
-        }
+        let first_error = fetches.results[first..].iter_mut().find_map(|slot| {
+            let msg = slot.as_ref().err()?.to_string();
+            std::mem::replace(slot, Err(Error::Other(msg))).err()
+        });
 
         // Stage 3: publish owned pages — cache them and release the latches
         // before any waiting below, so two readers that own pages of each
         // other's requests cannot deadlock.
-        let publish_span = self.tracer.child(root, "publish");
-        let mut chunks: Vec<Option<Bytes>> = plans.iter().map(|_| None).collect();
+        let publish_span = self.tracer.child(parent, "publish");
         // Publish in ascending page order (pending was built ascending, so
         // pop from a reversed list): insertion order is what recency-based
         // eviction policies see.
@@ -1058,7 +1037,7 @@ impl CacheManager {
             let latch = Arc::clone(latch);
             let plan = &plans[pos];
             let slot = plan.slot.expect("owner pages are planned a fetch slot");
-            let outcome = match &fetched[slot] {
+            let outcome = match &fetches.results[slot] {
                 Ok(bytes) => {
                     let a = (plan.off_in_slot as usize).min(bytes.len());
                     let b = ((plan.off_in_slot + plan.page_len) as usize).min(bytes.len());
@@ -1068,9 +1047,7 @@ impl CacheManager {
             };
             self.finish_fetch(file, id, &latch, &outcome, publish_span.id());
             if let Ok(page) = outcome {
-                let a = (plan.within_off as usize).min(page.len());
-                let b = ((plan.within_off + plan.within_len) as usize).min(page.len());
-                chunks[pos] = Some(page.slice(a..b));
+                plans[pos].chunk = Some(plans[pos].cut(&page));
             }
             cleanup.pending.pop();
         }
@@ -1079,19 +1056,11 @@ impl CacheManager {
             return Err(e);
         }
 
-        // Stage 4: serve hits from the local store (I/O outside the locks).
-        let serve_span = self.tracer.child(root, "serve");
-        for pos in 0..plans.len() {
-            if matches!(plans[pos].class, PageClass::Hit) {
-                chunks[pos] = Some(self.serve_hit(file, &plans[pos], source, serve_span.id())?);
-            }
-        }
-        serve_span.finish();
-
-        // Stage 5: collect pages concurrent readers fetched for us, and the
-        // bypass slots (those already hold exactly the requested ranges).
-        let collect_span = self.tracer.child(root, "collect");
-        for (pos, plan) in plans.iter().enumerate() {
+        // Stage 4: collect pages concurrent readers fetched for us, and the
+        // exact-range slots (those already hold exactly the requested
+        // ranges).
+        let collect_span = self.tracer.child(parent, "collect");
+        for plan in plans.iter_mut().filter(|p| p.chunk.is_none()) {
             match &plan.class {
                 PageClass::Waiter { latch } => {
                     let mut wait_span = self.tracer.child(collect_span.id(), "singleflight_wait");
@@ -1103,66 +1072,69 @@ impl CacheManager {
                         ))
                     })?;
                     wait_span.finish();
-                    let a = (plan.within_off as usize).min(page.len());
-                    let b = ((plan.within_off + plan.within_len) as usize).min(page.len());
-                    chunks[pos] = Some(page.slice(a..b));
+                    plan.chunk = Some(plan.cut(&page));
                 }
                 PageClass::Bypass => {
                     let slot = plan.slot.expect("bypass pages are planned a fetch slot");
-                    if let Ok(bytes) = &fetched[slot] {
-                        chunks[pos] = Some(bytes.clone());
+                    if let Ok(bytes) = &fetches.results[slot] {
+                        plan.chunk = Some(bytes.clone());
                     }
                 }
                 _ => {}
             }
         }
         collect_span.finish();
-
-        let chunks = chunks
-            .into_iter()
-            .map(|c| c.expect("every classified page produced a chunk"))
-            .collect();
-        Ok(ServedPages {
-            chunks,
-            fetched,
-            fetches,
-        })
+        Ok(())
     }
 
-    /// Stage 1 of [`Self::read`]: classifies every requested page under its
-    /// stripe lock, with no I/O while a lock is held. Lock order everywhere
-    /// is stripe lock → in-flight map, so a concurrent publisher (which
-    /// inserts the page and removes the in-flight entry under the same
-    /// stripe lock) is seen either entirely before or entirely after: a
-    /// classifier finds the in-flight entry or the cached page, never
-    /// neither.
-    fn classify(&self, file: &SourceFile, offset: u64, end: u64, parent: SpanId) -> Vec<PagePlan> {
-        let ps = self.page_size();
-        let file_id = file.file_id();
-        let now = self.now_ms();
-        let first = offset / ps;
-        let last = (end - 1) / ps;
-        let mut plans = Vec::with_capacity((last - first + 1) as usize);
-        for idx in first..=last {
-            let page_start = idx * ps;
-            let id = PageId::new(file_id, idx);
-            let class = self.classify_page(file, id, now, parent);
-            plans.push(PagePlan {
-                id,
-                page_start,
-                page_len: ps.min(file.length - page_start),
-                within_off: offset.max(page_start) - page_start,
-                within_len: end.min(page_start + ps) - offset.max(page_start),
-                class,
-                slot: None,
-                off_in_slot: 0,
-            });
+    /// Stage 7 for one clamped fragment `start..end`: a fragment inside one
+    /// page chunk, or inside one coalesced owner run, is a zero-copy slice;
+    /// anything else is stitched from its pages' chunks (counted in
+    /// `bytes_copied`).
+    fn assemble(&self, plans: &[PagePlan], fetches: &Fetches, start: u64, end: u64) -> Bytes {
+        if start >= end {
+            return Bytes::new();
         }
-        plans
+        let ps = self.page_size();
+        // The fragment's pages are consecutive in the sorted plan list.
+        let first = plans.partition_point(|p| p.id.index < start / ps);
+        let pages = &plans[first..=first + ((end - 1) / ps - start / ps) as usize];
+        let chunk = |plan: &PagePlan| {
+            plan.chunk
+                .as_ref()
+                .expect("every classified page produced a chunk")
+                .clone()
+        };
+        if let [plan] = pages {
+            let rel = (start - (plan.page_start + plan.within_off)) as usize;
+            return chunk(plan).slice(rel..rel + (end - start) as usize);
+        }
+        // Whole fragment inside one coalesced owner run: one slice of the
+        // ranged response.
+        let run_slot = pages[0].slot;
+        let one_run = pages
+            .iter()
+            .all(|p| matches!(p.class, PageClass::Owner { .. }) && p.slot == run_slot);
+        if let (true, Some(slot)) = (one_run, run_slot) {
+            if let Ok(bytes) = &fetches.results[slot] {
+                let base = fetches.ranges[slot].0;
+                let a = ((start - base) as usize).min(bytes.len());
+                let b = ((end - base) as usize).min(bytes.len());
+                return bytes.slice(a..b);
+            }
+        }
+        self.hot.bytes_copied.add(end - start);
+        let mut buf = BytesMut::with_capacity((end - start) as usize);
+        for plan in pages {
+            let a = start.max(plan.page_start);
+            let b = end.min(plan.page_start + plan.page_len);
+            let base = plan.page_start + plan.within_off;
+            buf.extend_from_slice(&chunk(plan)[(a - base) as usize..(b - base) as usize]);
+        }
+        buf.freeze()
     }
 
-    /// Classifies one page: the shared body of [`Self::classify`] and the
-    /// vectored classify of [`Self::read_multi`].
+    /// Stage 1 for one page, with no I/O while a lock is held.
     ///
     /// The hit path is lock-free in the write sense: an optimistic
     /// [`IndexManager::touch`] classifies a resident page under its index
@@ -1172,21 +1144,20 @@ impl CacheManager {
     /// classify (not serve) time keeps the old guarantee: stage 3 of this
     /// very read drains the ring before choosing eviction victims, so it
     /// cannot evict a page we are about to serve. Safety of the optimism:
-    /// if the page is evicted between classify and serve, [`Self::serve_hit`]
-    /// already degrades to a direct refetch.
+    /// if the page is evicted between classify and serve, the store read
+    /// fails and the page is repaired like any degraded hit.
     ///
     /// Only misses take the stripe lock, re-check the index (a concurrent
-    /// publisher may have landed the page), and consult the single-flight
-    /// shard.
+    /// publisher may have landed the page), and classify the miss.
     fn classify_page(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
-        if let Some(dir) = self.index.touch(&id, now) {
+        if let Some((dir, size)) = self.index.touch(&id, now) {
             if !self.policies[dir].record_access(id) {
                 self.hot.policy_events_dropped.inc();
             }
-            return PageClass::Hit;
+            return PageClass::Hit { dir, size };
         }
         let _guard = self.stripe(id).lock();
-        if let Some(dir) = self.index.touch(&id, now) {
+        if let Some((dir, size)) = self.index.touch(&id, now) {
             // Double-check hit: published between the optimistic probe and
             // the lock. Counted separately — a pure-hit workload must never
             // land here (the hotpath benchmark asserts it stays 0).
@@ -1194,96 +1165,91 @@ impl CacheManager {
             if !self.policies[dir].record_access(id) {
                 self.hot.policy_events_dropped.inc();
             }
-            return PageClass::Hit;
+            return PageClass::Hit { dir, size };
         }
+        self.classify_miss(file, id, now, parent)
+    }
+
+    /// The miss half of [`Self::classify_page`], also used to re-classify a
+    /// degraded hit. The caller holds the page's stripe lock. Lock order
+    /// everywhere is stripe lock → in-flight shard, so a concurrent
+    /// publisher (which inserts the page and removes the in-flight entry
+    /// under the same stripe lock) is seen either entirely before or
+    /// entirely after: a classifier finds the in-flight entry or the cached
+    /// page, never neither.
+    fn classify_miss(&self, file: &SourceFile, id: PageId, now: u64, parent: SpanId) -> PageClass {
         self.hot.misses.inc();
         let mut inflight = self.inflight_shard(id).lock();
         if let Some(latch) = inflight.get(&id) {
             // Join the in-flight fetch regardless of admission:
             // the owner is caching this page anyway.
             self.hot.inflight_waits.inc();
-            PageClass::Waiter {
+            return PageClass::Waiter {
                 latch: Arc::clone(latch),
-            }
+            };
+        }
+        let mut admission_span = self.tracer.child(parent, "admission");
+        let admitted = self.admission.admit(&file.path, &file.scope, now);
+        admission_span.annotate("page", id);
+        admission_span.annotate("admitted", admitted);
+        admission_span.finish();
+        if admitted {
+            let latch = Arc::new(InflightFetch::default());
+            inflight.insert(id, Arc::clone(&latch));
+            PageClass::Owner { latch }
         } else {
-            let mut admission_span = self.tracer.child(parent, "admission");
-            let admitted = self.admission.admit(&file.path, &file.scope, now);
-            admission_span.annotate("page", id);
-            admission_span.annotate("admitted", admitted);
-            admission_span.finish();
-            if admitted {
-                let latch = Arc::new(InflightFetch::default());
-                inflight.insert(id, Arc::clone(&latch));
-                PageClass::Owner { latch }
-            } else {
-                // Non-cache read path (Figure 3): read exactly
-                // what was asked.
-                self.hot.admission_rejected.inc();
-                PageClass::Bypass
-            }
+            // Non-cache read path (Figure 3): read exactly what was asked.
+            self.hot.admission_rejected.inc();
+            PageClass::Bypass
         }
     }
 
-    /// Stage 2 planning: assigns every owner and bypass page a remote
-    /// request slot. Runs of *file-adjacent* owned pages coalesce into one
-    /// ranged request each (when enabled); a bypass always gets its own
-    /// exact-range slot. The page-vs-request delta of owner runs is the
-    /// read amplification the §7 page-size trade-off discusses.
+    /// Stage 2 planning: assigns every pending owner and bypass page a
+    /// remote request slot, appended to `fetches`. Runs of *file-adjacent*
+    /// owned pages coalesce into one ranged request each (when enabled); a
+    /// bypass always gets its own exact-range slot. The page-vs-request
+    /// delta of owner runs is the read amplification the §7 page-size
+    /// trade-off discusses.
     ///
-    /// Plans must be in ascending `page_start` order. A single [`Self::read`]
-    /// produces consecutive pages, so every owner follows on the previous
-    /// run's end; a [`Self::read_multi`] may carry gaps between fragments,
-    /// which close the open run — coalescing never bridges bytes nobody
-    /// asked for.
-    fn plan_fetches(&self, plans: &mut [PagePlan]) -> Vec<(u64, u64)> {
-        let coalesce = self.config.coalesce_fetches;
-        let mut fetches: Vec<(u64, u64)> = Vec::new();
-        let mut run_pages = 0u64;
-        // Absolute file offset where the open owner run ends.
-        let mut run_end = 0u64;
-        for plan in plans.iter_mut() {
-            match plan.class {
-                PageClass::Owner { .. } => {
-                    if coalesce && run_pages > 0 && plan.page_start == run_end {
-                        let slot = fetches.len() - 1;
-                        plan.slot = Some(slot);
-                        plan.off_in_slot = fetches[slot].1;
-                        fetches[slot].1 += plan.page_len;
-                        run_pages += 1;
-                        run_end += plan.page_len;
-                    } else {
-                        self.close_run(&fetches, run_pages);
-                        plan.slot = Some(fetches.len());
-                        fetches.push((plan.page_start, plan.page_len));
-                        run_pages = 1;
-                        run_end = plan.page_start + plan.page_len;
-                    }
+    /// Plans are in ascending page order, so any other page between two
+    /// owners (a gap between fragments, a hit, a waiter, a bypass) keeps
+    /// them in separate runs — coalescing never bridges bytes nobody asked
+    /// for.
+    fn plan_fetches(&self, plans: &mut [PagePlan], fetches: &mut Vec<(u64, u64)>) {
+        // The open owner run: its slot and page count.
+        let mut run: Option<(usize, u64)> = None;
+        for plan in plans.iter_mut().filter(|p| p.chunk.is_none()) {
+            match (&plan.class, &mut run) {
+                (PageClass::Owner { .. }, Some((slot, pages)))
+                    if self.config.coalesce_fetches
+                        && plan.page_start == fetches[*slot].0 + fetches[*slot].1 =>
+                {
+                    plan.slot = Some(*slot);
+                    plan.off_in_slot = fetches[*slot].1;
+                    fetches[*slot].1 += plan.page_len;
+                    *pages += 1;
                 }
-                PageClass::Bypass => {
-                    self.close_run(&fetches, run_pages);
-                    run_pages = 0;
+                (PageClass::Owner { .. }, _) => {
+                    self.close_run(fetches, run);
+                    run = Some((fetches.len(), 1));
+                    plan.slot = Some(fetches.len());
+                    fetches.push((plan.page_start, plan.page_len));
+                }
+                (PageClass::Bypass, _) => {
                     plan.slot = Some(fetches.len());
                     fetches.push((plan.page_start + plan.within_off, plan.within_len));
                 }
-                PageClass::Hit | PageClass::Waiter { .. } => {
-                    self.close_run(&fetches, run_pages);
-                    run_pages = 0;
-                }
+                _ => {}
             }
         }
-        self.close_run(&fetches, run_pages);
-        fetches
+        self.close_run(fetches, run);
     }
 
-    /// Records the metrics of a completed owner run (the last slot pushed).
-    fn close_run(&self, fetches: &[(u64, u64)], run_pages: u64) {
-        if run_pages == 0 {
-            return;
-        }
-        let (_, len) = fetches[fetches.len() - 1];
-        self.hot.fetch_batch_bytes.record(len);
-        if run_pages > 1 {
-            self.hot.coalesced_pages.add(run_pages - 1);
+    /// Records the metrics of a completed owner run.
+    fn close_run(&self, fetches: &[(u64, u64)], run: Option<(usize, u64)>) {
+        if let Some((slot, pages)) = run {
+            self.hot.fetch_batch_bytes.record(fetches[slot].1);
+            self.hot.coalesced_pages.add(pages - 1);
         }
     }
 
@@ -1432,7 +1398,7 @@ impl CacheManager {
 
     /// Stage 3 for one owned page: caches the fetched page (re-taking its
     /// stripe lock just for the insert), removes the in-flight entry while
-    /// that lock is still held (see [`Self::classify`] for why), then
+    /// that lock is still held (see [`Self::classify_miss`] for why), then
     /// releases the latch.
     fn finish_fetch(
         &self,
@@ -1452,7 +1418,7 @@ impl CacheManager {
             let _guard = self.stripe(id).lock();
             let mut cached = false;
             if let Ok(page) = outcome {
-                match self.put_page_locked_traced(file, id, page, parent) {
+                match self.put_page_locked(file, id, page, parent) {
                     Ok(()) => cached = true,
                     Err(e) => {
                         // Caching failed (quota, space, store error): the
@@ -1472,178 +1438,84 @@ impl CacheManager {
         latch.publish(outcome.clone());
     }
 
-    /// Serves a page classified as a hit. Runs without the stripe lock; if
-    /// the page vanished or the store failed, degrades to the appropriate
-    /// §8 fallback.
-    fn serve_hit(
-        &self,
-        file: &SourceFile,
-        plan: &PagePlan,
-        source: &dyn RemoteSource,
-        parent: SpanId,
-    ) -> Result<Bytes> {
+    /// Stage 5 for one hit: reads the page from the local store, without
+    /// the stripe lock, into `plan.chunk`. A degraded hit gets its §8
+    /// bookkeeping and is left without a chunk for the repair round: a read
+    /// that timed out keeps the cached page and becomes an exact-range
+    /// bypass; a page evicted since classification, lost, corrupt, or
+    /// unreadable leaves the cache and is refetched.
+    fn serve_hit(&self, plan: &mut PagePlan, mut dir: usize, size: u64, parent: SpanId) {
         let id = plan.id;
-        let Some(info) = self.index.get(&id) else {
-            // Evicted since classification: refetch.
-            return self.fetch_page_direct(file, plan, source, parent);
-        };
-        let mem_hit = Some(info.dir) == self.mem_dir;
-        // Three-tier promotion: an SSD hit moves the page up into memory,
-        // which needs the whole page — read it once and serve the requested
-        // slice from the same buffer (no second I/O, no extra copy).
-        let promote = !mem_hit && self.mem_dir.is_some() && info.size <= self.memory_capacity();
-        let (read_off, read_len) = if promote {
-            (0, info.size)
-        } else {
-            (plan.within_off, plan.within_len)
-        };
-        let mut read_span = self
-            .tracer
-            .child(parent, if mem_hit { "mem_read" } else { "ssd_read" });
-        read_span.annotate("page", id);
-        let got = self.store_get(info.dir, id, read_off, read_len);
-        if read_span.is_recording() {
-            match &got {
-                Ok(bytes) => read_span.annotate("bytes", bytes.len()),
-                Err(e) => read_span.annotate("status", e.kind()),
-            }
-        }
-        read_span.finish();
-        match got {
-            Ok(bytes) => {
-                // The policy access was recorded at classification time.
-                self.hot.hits.inc();
-                if mem_hit {
-                    self.hot.mem_hits.inc();
+        // Concurrent tier moves may relocate the page after classification:
+        // a `NotFound` follows it to the directory that holds it now, a few
+        // times at most, before the page is left for the repair round.
+        for _ in 0..TIER_MOVE_FOLLOWS {
+            let mem_hit = Some(dir) == self.mem_dir;
+            // Three-tier promotion: an SSD hit moves the page up into
+            // memory, which needs the whole page — read it once and serve
+            // the requested slice from the same buffer (no second I/O, no
+            // extra copy).
+            let promote = !mem_hit && self.mem_dir.is_some() && size <= self.memory_capacity();
+            let (read_off, read_len) = if promote {
+                (0, size)
+            } else {
+                (plan.within_off, plan.within_len)
+            };
+            let mut read_span = self
+                .tracer
+                .child(parent, if mem_hit { "mem_read" } else { "ssd_read" });
+            read_span.annotate("page", id);
+            let got = self.store_get(dir, id, read_off, read_len);
+            if read_span.is_recording() {
+                match &got {
+                    Ok(bytes) => read_span.annotate("bytes", bytes.len()),
+                    Err(e) => read_span.annotate("status", e.kind()),
                 }
-                let served = if promote {
-                    self.promote_to_mem(&info, &bytes, parent);
-                    let start = (plan.within_off as usize).min(bytes.len());
-                    let end = ((plan.within_off + plan.within_len) as usize).min(bytes.len());
-                    bytes.slice(start..end)
-                } else {
-                    bytes
-                };
-                self.hot.bytes_from_cache.add(served.len() as u64);
-                Ok(served)
             }
-            Err(Error::Timeout { .. }) => {
-                // §8 "File read hanging": fall back to remote, keeping the
-                // cached page for future reads.
-                self.metrics.record_error("get", "timeout");
-                self.hot.fallbacks_timeout.inc();
-                let mut fallback_span = self.tracer.child(parent, "remote_fallback");
-                fallback_span.annotate("reason", "timeout");
-                fallback_span.annotate("page", id);
-                let abs = plan.page_start + plan.within_off;
-                let bytes = source.read(&file.path, abs, plan.within_len)?;
-                self.hot.bytes_from_remote.add(bytes.len() as u64);
-                self.hot.remote_requests.inc();
-                if bytes.len() as u64 != plan.within_len {
-                    return Err(Error::Decode(format!(
-                        "remote returned {} bytes for a {}-byte range",
-                        bytes.len(),
-                        plan.within_len
-                    )));
+            read_span.finish();
+            match got {
+                Ok(bytes) => {
+                    // The policy access was recorded at classification time.
+                    self.hot.hits.inc();
+                    if mem_hit {
+                        self.hot.mem_hits.inc();
+                    }
+                    let served = if promote {
+                        self.promote_to_mem(id, dir, size, &bytes, parent);
+                        plan.cut(&bytes)
+                    } else {
+                        bytes
+                    };
+                    self.hot.bytes_from_cache.add(served.len() as u64);
+                    plan.chunk = Some(served);
                 }
-                Ok(bytes)
-            }
-            Err(e @ Error::Corrupted(_)) => {
-                // §8 "Corrupted files": evict early and refetch.
-                self.metrics.record_error("get", e.kind());
-                self.evict_page(&id, "corrupt");
-                self.fetch_page_direct(file, plan, source, parent)
-            }
-            Err(Error::NotFound(_)) => {
-                // Either the store lost the page (external cleanup), or a
-                // concurrent tier move relocated it between our index
-                // snapshot and the store read. If it moved, serve from its
-                // new home; only repair the index when the bytes are gone.
-                if let Some(cur) = self.index.get(&id) {
-                    if cur.dir != info.dir {
-                        if let Ok(bytes) =
-                            self.store_get(cur.dir, id, plan.within_off, plan.within_len)
-                        {
-                            self.hot.hits.inc();
-                            if Some(cur.dir) == self.mem_dir {
-                                self.hot.mem_hits.inc();
-                            }
-                            self.hot.bytes_from_cache.add(bytes.len() as u64);
-                            return Ok(bytes);
-                        }
+                Err(Error::Timeout { .. }) => {
+                    // §8 "File read hanging": fall back to the remote,
+                    // keeping the cached page for future reads.
+                    self.metrics.record_error("get", "timeout");
+                    self.hot.fallbacks_timeout.inc();
+                    plan.class = PageClass::Bypass;
+                }
+                Err(e @ Error::Corrupted(_)) => {
+                    // §8 "Corrupted files": evict early and refetch.
+                    self.metrics.record_error("get", e.kind());
+                    self.evict_page(&id, "corrupt");
+                }
+                Err(Error::NotFound(_)) => {
+                    // Moved: read it where it is now. Gone: dropped, so the
+                    // repair round refetches it.
+                    if let Some(cur) = self.locate_or_drop(&id) {
+                        dir = cur;
+                        continue;
                     }
                 }
-                self.drop_from_index(&id);
-                self.fetch_page_direct(file, plan, source, parent)
+                Err(e) => {
+                    self.metrics.record_error("get", e.kind());
+                    self.evict_page(&id, "error");
+                }
             }
-            Err(e) => {
-                self.metrics.record_error("get", e.kind());
-                self.evict_page(&id, "error");
-                self.fetch_page_direct(file, plan, source, parent)
-            }
+            return;
         }
-    }
-
-    /// Fetches one page read-through without the single-flight machinery:
-    /// the rare repair path when a classified hit degrades (eviction race,
-    /// corruption, lost page).
-    fn fetch_page_direct(
-        &self,
-        file: &SourceFile,
-        plan: &PagePlan,
-        source: &dyn RemoteSource,
-        parent: SpanId,
-    ) -> Result<Bytes> {
-        let mut direct_span = self.tracer.child(parent, "remote_fallback");
-        direct_span.annotate("reason", "refetch");
-        direct_span.annotate("page", plan.id);
-        self.hot.misses.inc();
-        if !self.admission.admit(&file.path, &file.scope, self.now_ms()) {
-            self.hot.admission_rejected.inc();
-            let abs = plan.page_start + plan.within_off;
-            let bytes = source.read(&file.path, abs, plan.within_len)?;
-            self.hot.bytes_from_remote.add(bytes.len() as u64);
-            self.hot.remote_requests.inc();
-            if bytes.len() as u64 != plan.within_len {
-                return Err(Error::Decode(format!(
-                    "remote returned {} bytes for a {}-byte range",
-                    bytes.len(),
-                    plan.within_len
-                )));
-            }
-            return Ok(bytes);
-        }
-        let data = match source.read(&file.path, plan.page_start, plan.page_len) {
-            Ok(data) => data,
-            Err(e) => {
-                self.release_admission_if_vacant(&file.scope);
-                return Err(e);
-            }
-        };
-        self.hot.bytes_from_remote.add(data.len() as u64);
-        self.hot.remote_requests.inc();
-        if data.len() as u64 != plan.page_len {
-            // Never cache a short page (see execute_fetches).
-            self.release_admission_if_vacant(&file.scope);
-            return Err(Error::Decode(format!(
-                "remote returned {} bytes for a {}-byte page",
-                data.len(),
-                plan.page_len
-            )));
-        }
-        // Room first, stripe second (stripe locks never nest; see
-        // `finish_fetch`).
-        self.ensure_mem_room(data.len() as u64, direct_span.id());
-        {
-            let _guard = self.stripe(plan.id).lock();
-            if let Err(e) = self.put_page_locked_traced(file, plan.id, &data, direct_span.id()) {
-                self.metrics.record_error("put", e.kind());
-                self.release_admission_if_vacant(&file.scope);
-            }
-        }
-        let start = (plan.within_off as usize).min(data.len());
-        let end = ((plan.within_off + plan.within_len) as usize).min(data.len());
-        Ok(data.slice(start..end))
     }
 
     /// Local store read, with the configured deadline when enforced.
@@ -1672,46 +1544,7 @@ impl CacheManager {
         // `finish_fetch`).
         self.ensure_mem_room(data.len() as u64, SpanId::NONE);
         let _guard = self.stripe(id).lock();
-        self.put_page_locked(file, id, data)
-    }
-
-    /// Reads one cached page range without a remote fallback. Returns
-    /// `NotFound` on a miss (used by integrations that manage their own
-    /// miss path).
-    pub fn get_page(
-        &self,
-        file: &SourceFile,
-        page_index: u64,
-        offset: u64,
-        len: u64,
-    ) -> Result<Bytes> {
-        let id = PageId::new(file.file_id(), page_index);
-        let _guard = self.stripe(id).lock();
-        let info = self
-            .index
-            .get(&id)
-            .ok_or_else(|| Error::NotFound(format!("page {id}")))?;
-        match self.store_get(info.dir, id, offset, len) {
-            Ok(bytes) => {
-                self.hot.hits.inc();
-                self.hot.bytes_from_cache.add(bytes.len() as u64);
-                // Recency via the event ring, like the read path: this hit
-                // must not serialize on the policy mutex.
-                if !self.policies[info.dir].record_access(id) {
-                    self.hot.policy_events_dropped.inc();
-                }
-                Ok(bytes)
-            }
-            Err(e @ Error::Corrupted(_)) => {
-                self.metrics.record_error("get", e.kind());
-                self.evict_page(&id, "corrupt");
-                Err(e)
-            }
-            Err(e) => {
-                self.metrics.record_error("get", e.kind());
-                Err(e)
-            }
-        }
+        self.put_page_locked(file, id, data, SpanId::NONE)
     }
 
     /// Whether a page is cached.
@@ -1720,14 +1553,10 @@ impl CacheManager {
             .contains(&PageId::new(file.file_id(), page_index))
     }
 
-    /// Inner put: caller holds the page's stripe lock.
-    fn put_page_locked(&self, file: &SourceFile, id: PageId, data: &[u8]) -> Result<()> {
-        self.put_page_locked_traced(file, id, data, SpanId::NONE)
-    }
-
-    /// Inner put with a trace parent: eviction work done to make room is
-    /// recorded as an `eviction` child span (only when evictions happen).
-    fn put_page_locked_traced(
+    /// Inner put: caller holds the page's stripe lock. Eviction work done
+    /// to make room is recorded as an `eviction` child span of `parent`
+    /// (only when evictions happen).
+    fn put_page_locked(
         &self,
         file: &SourceFile,
         id: PageId,
@@ -1927,24 +1756,25 @@ impl CacheManager {
         Some(info)
     }
 
-    /// Removes a page from the index and policy only (store already lost
-    /// it). Verifies under the page's stripe lock that the store really
-    /// lacks the bytes — a concurrent tier move explains a transient
-    /// `NotFound` without any data having been lost, and dropping the entry
-    /// then would strand the moved copy in its new store. Callers hold no
-    /// stripe lock.
-    fn drop_from_index(&self, id: &PageId) {
+    /// After a store read found no page: returns the directory whose store
+    /// holds it now, or drops it from the index and policy when its bytes
+    /// are gone (evicted, or lost under the cache). Checked under the
+    /// page's stripe lock, which tier moves hold: a concurrent move explains
+    /// a transient `NotFound` without any data having been lost, and
+    /// dropping the entry then would strand the moved copy in its new
+    /// store. Callers hold no stripe lock.
+    fn locate_or_drop(&self, id: &PageId) -> Option<usize> {
         let _guard = self.stripe(*id).lock();
-        if let Some(info) = self.index.get(id) {
-            if self.stores[info.dir].contains(*id) {
-                return; // raced a tier move: the page is real again
-            }
-            self.index.remove(id);
-            self.policies[info.dir].lock().on_remove(*id);
-            if Some(info.dir) == self.mem_dir {
-                self.hot.mem_evictions.inc();
-            }
+        let info = self.index.get(id)?;
+        if self.stores[info.dir].contains(*id) {
+            return Some(info.dir);
         }
+        self.index.remove(id);
+        self.policies[info.dir].lock().on_remove(*id);
+        if Some(info.dir) == self.mem_dir {
+            self.hot.mem_evictions.inc();
+        }
+        None
     }
 
     /// Index directory of the DRAM tier, when one is mounted.
@@ -2175,25 +2005,24 @@ impl CacheManager {
     /// full payload; the caller holds no stripe lock. Best-effort: any
     /// conflict (raced refresh, no room after demotion) leaves the page
     /// where it is.
-    fn promote_to_mem(&self, info: &PageInfo, data: &Bytes, parent: SpanId) {
+    fn promote_to_mem(&self, id: PageId, dir: usize, size: u64, data: &Bytes, parent: SpanId) {
         let (Some(mem), Some(mem_store)) = (self.mem_dir, self.mem_store.as_ref()) else {
             return;
         };
-        if data.len() as u64 != info.size {
+        if data.len() as u64 != size {
             return; // short read: never promote a partial page
         }
-        self.ensure_mem_room(info.size, parent);
-        if self.index.bytes_of_dir(mem) + info.size > self.memory_capacity() {
+        self.ensure_mem_room(size, parent);
+        if self.index.bytes_of_dir(mem) + size > self.memory_capacity() {
             return; // could not make room (pinned frames, demotion failure)
         }
-        let id = info.id;
         let _guard = self.stripe(id).lock();
         // Re-check under the stripe: a concurrent refresh, eviction, or
         // another promotion may have changed the page since it was served.
         let Some(cur) = self.index.get(&id) else {
             return;
         };
-        if cur.dir != info.dir || cur.size != info.size {
+        if cur.dir != dir || cur.size != size {
             return;
         }
         let mut span = self.tracer.child(parent, "promote");
@@ -2216,8 +2045,8 @@ impl CacheManager {
         }
         self.policies[mem].lock().on_insert(id);
         self.hot.mem_promotions.inc();
-        self.hot.mem_bytes_promoted.add(info.size);
-        span.annotate("from_dir", info.dir);
+        self.hot.mem_bytes_promoted.add(size);
+        span.annotate("from_dir", dir);
         span.finish();
     }
 
@@ -2531,6 +2360,15 @@ mod tests {
 
         fn read_count(&self) -> usize {
             self.reads.lock().len()
+        }
+
+        /// The `(offset, len)` of every read so far, sorted: the request
+        /// multiset, independent of the order concurrent fetches ran in.
+        fn requested_ranges(&self) -> Vec<(u64, u64)> {
+            let mut ranges: Vec<(u64, u64)> =
+                self.reads.lock().iter().map(|(_, o, l)| (*o, *l)).collect();
+            ranges.sort_unstable();
+            ranges
         }
 
         fn bytes_served(&self) -> u64 {
@@ -3128,8 +2966,12 @@ mod tests {
         cache.read(&file("/f", 100), 0, 100, &remote).unwrap();
         let _janitor = cache.start_ttl_janitor(Duration::from_millis(10));
         // The page expires after 30 ms; the janitor should reap it shortly.
+        // The eviction leaves the index before it is counted, so wait for
+        // both.
+        let reaped =
+            || cache.index().is_empty() && cache.metrics().counter("evictions.ttl").get() >= 1;
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !cache.index().is_empty() && std::time::Instant::now() < deadline {
+        while !reaped() && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(cache.index().len(), 0, "janitor reaped the expired page");
@@ -3468,15 +3310,96 @@ mod tests {
             3,
             "one request per run of missing pages"
         );
-        let offsets: Vec<(u64, u64)> = remote
-            .reads
-            .lock()
-            .iter()
-            .map(|(_, o, l)| (*o, *l))
-            .collect();
-        assert_eq!(offsets, vec![(0, 200), (300, 300), (700, 300)]);
+        // The fetch pool issues the runs concurrently, so only the set of
+        // requests is a contract, not their order.
+        assert_eq!(
+            remote.requested_ranges(),
+            vec![(0, 200), (300, 300), (700, 300)]
+        );
         // 2 + 3 + 3 pages fetched by 3 requests: 5 pages saved.
         assert_eq!(cache.metrics().counter("fetch.coalesced_pages").get(), 5);
+    }
+
+    #[test]
+    fn publishes_land_in_ascending_page_order() {
+        // Four pages fill the cache exactly; LRU evicts in insertion order.
+        let cache = CacheManager::builder(
+            CacheConfig::default()
+                .with_page_size(ByteSize::new(100))
+                .with_eviction(EvictionPolicyKind::Lru),
+        )
+        .with_store(Arc::new(MemoryPageStore::new()), 400)
+        .build()
+        .unwrap();
+        let data = pattern(1100);
+        let remote = ScriptedRemote::new().with_file("/f", data.clone());
+        let f = file("/f", 1100);
+
+        // Four separate runs, fetched concurrently in whatever order the
+        // pool finishes them, must still be published in page order.
+        let frags = [(600u64, 100u64), (0, 100), (400, 100), (200, 100)];
+        cache.read_multi(&f, &frags, &remote).unwrap();
+        // Each further page squeezes out the oldest publish.
+        for (next, victim) in [(8u64, 0u64), (9, 2), (10, 4)] {
+            cache.read(&f, next * 100, 100, &remote).unwrap();
+            assert!(!cache.contains(&f, victim), "page {victim} evicted first");
+            assert!(cache.contains(&f, 6), "page 6 was published last");
+        }
+    }
+
+    #[test]
+    fn corrupted_hit_repair_joins_single_flight() {
+        let plan = FaultPlan::none();
+        let store = Arc::new(FaultyStore::new(MemoryPageStore::new(), Arc::clone(&plan)));
+        let cache = Arc::new(
+            CacheManager::builder(CacheConfig::default().with_page_size(ByteSize::new(1024)))
+                .with_store(store, 1 << 20)
+                .build()
+                .unwrap(),
+        );
+        let data = pattern(1024);
+        let f = file("/f", 1024);
+        let origin = ScriptedRemote::new().with_file("/f", data.clone());
+        cache.read(&f, 0, 1024, &origin).unwrap();
+        plan.corrupt_page(PageId::new(f.file_id(), 0));
+
+        let remote = Arc::new(GatedRemote::new(data.clone()));
+        let reader = || {
+            let cache = Arc::clone(&cache);
+            let remote = Arc::clone(&remote);
+            std::thread::spawn(move || {
+                cache
+                    .read(&file("/f", 1024), 0, 1024, remote.as_ref())
+                    .unwrap()
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        // The first reader's hit fails its checksum; its repair fetch owns a
+        // single-flight latch and blocks at the gate.
+        let first = reader();
+        while cache.inflight_fetches() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(cache.inflight_fetches(), 1, "the repair fetch is in flight");
+        // A second reader of the page joins that fetch instead of issuing
+        // its own.
+        let waits = cache.metrics().counter("fetch.inflight_waits");
+        let second = reader();
+        while waits.get() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(waits.get(), 1, "the second reader joined the repair");
+        remote.open_gate();
+
+        assert_eq!(first.join().unwrap().as_ref(), &data[..]);
+        assert_eq!(second.join().unwrap().as_ref(), &data[..]);
+        assert_eq!(
+            remote.requests.load(Ordering::Relaxed),
+            1,
+            "one remote request"
+        );
+        assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 1);
+        assert_eq!(cache.inflight_fetches(), 0);
     }
 
     #[test]
@@ -3602,13 +3525,7 @@ mod tests {
                 .unwrap();
             assert_eq!(got[0].as_ref(), &data[0..100]);
             assert_eq!(got[1].as_ref(), &data[300..400]);
-            let offsets: Vec<(u64, u64)> = remote
-                .reads
-                .lock()
-                .iter()
-                .map(|(_, o, l)| (*o, *l))
-                .collect();
-            assert_eq!(offsets, vec![(0, 100), (300, 100)]);
+            assert_eq!(remote.requested_ranges(), vec![(0, 100), (300, 100)]);
             assert_eq!(cache.metrics().counter("fetch.coalesced_pages").get(), 0);
             conserved(&cache, true);
         }
@@ -3675,14 +3592,12 @@ mod tests {
             let got = cache.read_multi(&f, &frags, &remote).unwrap();
             assert_eq!(got[0].as_ref(), &data[150..450]);
             assert_eq!(got[1].as_ref(), &data[550..850]);
-            // Misses: pages 1, 3, 4 and 5, 7, 8 → runs [1], [3,4,5], [7,8].
-            let offsets: Vec<(u64, u64)> = remote
-                .reads
-                .lock()
-                .iter()
-                .map(|(_, o, l)| (*o, *l))
-                .collect();
-            assert_eq!(offsets, vec![(100, 100), (300, 300), (700, 200)]);
+            // Misses: pages 1, 3, 4 and 5, 7, 8 → runs [1], [3,4,5], [7,8],
+            // requested concurrently (in no particular order).
+            assert_eq!(
+                remote.requested_ranges(),
+                vec![(100, 100), (300, 300), (700, 200)]
+            );
             assert_eq!(cache.stats().hits, 2);
             conserved(&cache, true);
         }

@@ -470,6 +470,7 @@ impl Engine {
             stats.bytes_from_remote += b.bytes_from_remote;
             stats.cache_hits += b.cache_hits;
             stats.cache_misses += b.cache_misses;
+            stats.splits += b.splits;
             stats.splits_skipped += b.splits_skipped;
             stats.splits_scheduled += b.splits_scheduled;
             stats.scan_bytes_saved += b.scan_bytes_saved;
@@ -1174,6 +1175,10 @@ mod tests {
                 .aggregate(vec![AggExpr::sum("amount")])
                 .group("region"),
             QueryPlan::scan("sales", "orders", &["id"]), // uncacheable
+            // A self-join: the build side's splits count too.
+            QueryPlan::scan("sales", "orders", &["id"])
+                .join("sales", "orders", "id", "id", &[], None)
+                .aggregate(vec![AggExpr::count()]),
         ];
         for _ in 0..3 {
             for q in &plans {

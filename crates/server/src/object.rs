@@ -31,10 +31,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use edgecache_common::clock::SharedClock;
-use edgecache_common::error::Error;
-use edgecache_core::manager::{CacheManager, SourceFile};
+use edgecache_common::error::{Error, Result};
+use edgecache_core::manager::{CacheManager, RemoteSource, SourceFile};
 use edgecache_pagestore::{CacheScope, FileId};
 use parking_lot::RwLock;
 
@@ -43,6 +43,18 @@ use parking_lot::RwLock;
 const EXPTIME_ABSOLUTE_CUTOFF: i64 = 60 * 60 * 24 * 30;
 
 const SHARDS: usize = 64;
+
+/// The origin behind the object layer's reads: none. A value lives only
+/// in the cache, so a page the cache lost is simply gone.
+struct NoOrigin;
+
+impl RemoteSource for NoOrigin {
+    fn read(&self, path: &str, _offset: u64, _len: u64) -> Result<Bytes> {
+        Err(Error::NotFound(format!(
+            "{path}: no origin behind the object layer"
+        )))
+    }
+}
 
 /// Everything the protocol needs to answer a hit.
 #[derive(Debug, Clone)]
@@ -202,30 +214,16 @@ impl ObjectStore {
                 data: Bytes::new(),
             });
         }
+        // One read of the whole value. The cache holds every byte a `set`
+        // stored, so there is no origin: a missing, short, or corrupt page
+        // voids the whole object — partial values are never served.
         let file = self.source(key, meta.version, meta.length);
-        let page = self.cache.page_size();
-        let pages = meta.length.div_ceil(page);
-        let mut parts = Vec::with_capacity(pages as usize);
-        for i in 0..pages {
-            let len = (meta.length - i * page).min(page);
-            match self.cache.get_page(&file, i, 0, len) {
-                Ok(bytes) if bytes.len() as u64 == len => parts.push(bytes),
-                // Any missing/short/corrupt page voids the whole object:
-                // partial values are never served.
-                _ => {
-                    self.drop_version(key, &meta);
-                    return None;
-                }
+        let data = match self.cache.read(&file, 0, meta.length, &NoOrigin) {
+            Ok(data) if data.len() as u64 == meta.length => data,
+            _ => {
+                self.drop_version(key, &meta);
+                return None;
             }
-        }
-        let data = if parts.len() == 1 {
-            parts.pop().expect("one part") // zero-copy single-page hit
-        } else {
-            let mut out = BytesMut::with_capacity(meta.length as usize);
-            for p in &parts {
-                out.extend_from_slice(p);
-            }
-            out.freeze()
         };
         Some(ObjectValue {
             flags: meta.flags,
@@ -354,6 +352,35 @@ mod tests {
         assert!(s.get("big").is_none());
         let got = s.get("other").unwrap();
         assert_eq!(got.data.as_ref(), &[2u8; 16]);
+    }
+
+    #[test]
+    fn gets_balance_the_page_read_identity() {
+        // Values of one to three pages in a cache of eight pages: sets shed
+        // older values, so gets see whole, evicted, and replaced objects.
+        let (s, _) = store_with(8, 64);
+        let mut latest: HashMap<String, Vec<u8>> = HashMap::new();
+        for i in 0..40u8 {
+            let key = format!("k{}", i % 7);
+            let value = vec![i; 1 + (i as usize * 5) % 24];
+            assert_eq!(s.set(&key, 0, 0, &value), SetOutcome::Stored);
+            latest.insert(key, value);
+            for probe in 0..8 {
+                let key = format!("k{probe}");
+                if let Some(got) = s.get(&key) {
+                    assert_eq!(got.data.as_ref(), &latest[&key][..], "{key}");
+                }
+            }
+        }
+        let counter = |name| s.cache().metrics().counter(name).get();
+        assert!(
+            counter("hits") > 0 && counter("misses") > 0,
+            "both kinds of get ran"
+        );
+        assert_eq!(
+            counter("page_reads"),
+            counter("hits") + counter("misses") + counter("fallbacks.timeout")
+        );
     }
 
     #[test]
