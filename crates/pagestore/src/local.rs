@@ -13,7 +13,8 @@
 //! (§4.3), so a cold restart can rebuild the in-memory index purely from a
 //! directory scan ([`LocalPageStore::recover`]).
 //!
-//! Each page file is `payload ‖ checksum(8 bytes, FNV-1a LE) ‖ magic(4 bytes)`.
+//! Each page file is `payload ‖ xxh64 LE ‖ "ECP2"`: the payload, its
+//! 8-byte [`page_checksum`] (xxHash64) little-endian, and a 4-byte magic.
 //! Writes go to a temporary name and are published with an atomic `rename`,
 //! so a concurrent reader sees the old state or the new state, never a torn
 //! page. Full-page reads verify the checksum and surface
@@ -23,7 +24,9 @@
 //! Page data is rebuildable from the remote source by definition, so files
 //! are *not* fsynced; a crash can lose recently written pages but never
 //! serves a torn one (the checksum catches partial writes that survived a
-//! crash).
+//! crash). The same holds for pages of an older layout (`ECP1`, with an
+//! FNV-1a checksum): their trailer no longer matches, so they read as
+//! corrupted and are evicted and refetched like any other damaged page.
 
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -33,7 +36,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
-use edgecache_common::hash::fnv1a64;
+use edgecache_common::hash::page_checksum;
 use edgecache_metrics::Tracer;
 
 use crate::crash::{CrashPlan, CrashSite};
@@ -41,7 +44,7 @@ use crate::page::{FileId, PageId};
 use crate::store::PageStore;
 
 /// Trailer magic marking a complete edgecache page file.
-const PAGE_MAGIC: &[u8; 4] = b"ECP1";
+const PAGE_MAGIC: &[u8; 4] = b"ECP2";
 /// Trailer length: 8-byte checksum + 4-byte magic.
 const TRAILER_LEN: u64 = 12;
 
@@ -193,6 +196,21 @@ impl LocalPageStore {
         Some((path, version))
     }
 
+    /// Removes a file's directory, and the `.fileinfo` in it, once no page
+    /// of the file is left. Any other entry (a page, or a sibling page's
+    /// in-flight tmp write) keeps both: the file info describes every page
+    /// of the file, not just the one being deleted.
+    fn prune_file_dir(&self, file: FileId) {
+        let dir = self.file_dir(file);
+        let Ok(entries) = fs::read_dir(&dir) else {
+            return;
+        };
+        if entries.flatten().all(|e| e.file_name() == ".fileinfo") {
+            let _ = fs::remove_file(dir.join(".fileinfo"));
+            let _ = fs::remove_dir(&dir);
+        }
+    }
+
     /// Whether an armed crash point at `site` fires now (consumes it).
     fn crash_armed(&self, site: CrashSite) -> bool {
         self.config
@@ -231,7 +249,7 @@ impl LocalPageStore {
                 .try_into()
                 .expect("8-byte checksum slice"),
         );
-        if fnv1a64(&raw[..payload_len]) != stored {
+        if page_checksum(&raw[..payload_len]) != stored {
             return Err(Error::Corrupted(format!("page {id}: checksum mismatch")));
         }
         let mut payload = raw;
@@ -256,7 +274,7 @@ impl PageStore for LocalPageStore {
         let write = (|| -> Result<()> {
             let mut f = fs::File::create(&tmp_path)?;
             f.write_all(data)?;
-            f.write_all(&fnv1a64(data).to_le_bytes())?;
+            f.write_all(&page_checksum(data).to_le_bytes())?;
             f.write_all(PAGE_MAGIC)?;
             Ok(())
         })();
@@ -337,10 +355,7 @@ impl PageStore for LocalPageStore {
         match fs::remove_file(&path) {
             Ok(()) => {
                 self.bytes_used.fetch_sub(size, Ordering::SeqCst);
-                // Opportunistically clean the per-file and bucket dirs; a
-                // failure just means they are not empty.
-                let _ = fs::remove_file(self.file_dir(id.file).join(".fileinfo"));
-                let _ = fs::remove_dir(self.file_dir(id.file));
+                self.prune_file_dir(id.file);
                 Ok(true)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
@@ -493,6 +508,57 @@ mod tests {
         assert_eq!(store.bytes_used(), 300);
         assert!(!store.contains(pid(1, 0)));
         assert!(store.contains(pid(1, 1)));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn delete_keeps_file_info_until_the_last_page_goes() {
+        let (store, dir) = temp_store();
+        store.set_file_info(FileId(5), "/t/f", 7).unwrap();
+        store.put(pid(5, 0), &[1u8; 64]).unwrap();
+        store.put(pid(5, 1), &[2u8; 64]).unwrap();
+        assert!(store.delete(pid(5, 0)).unwrap());
+        assert_eq!(store.file_info(FileId(5)), Some(("/t/f".to_string(), 7)));
+        assert!(store.delete(pid(5, 1)).unwrap());
+        assert_eq!(store.file_info(FileId(5)), None);
+        assert!(!store.file_dir(FileId(5)).exists());
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Writes a page in the previous on-disk layout: FNV-1a checksum, `ECP1`.
+    fn write_ecp1_page(path: &Path, payload: &[u8]) {
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let mut raw = payload.to_vec();
+        raw.extend_from_slice(&edgecache_common::hash::fnv1a64(payload).to_le_bytes());
+        raw.extend_from_slice(b"ECP1");
+        fs::write(path, raw).unwrap();
+    }
+
+    #[test]
+    fn old_layout_page_reads_as_corrupted() {
+        let (store, dir) = temp_store();
+        let path = store.page_path(pid(6, 0));
+        write_ecp1_page(&path, b"written before the layout change");
+        assert!(matches!(
+            store.get_full(pid(6, 0)),
+            Err(Error::Corrupted(_))
+        ));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn verified_recovery_drops_old_layout_pages() {
+        let dir = std::env::temp_dir().join(format!("edgecache-ecp1-{}", rand_suffix()));
+        let config = LocalStoreConfig {
+            verify_on_recovery: true,
+            ..Default::default()
+        };
+        let store = LocalPageStore::open(&dir, config).unwrap();
+        store.put(pid(1, 0), b"new").unwrap();
+        let old = store.page_path(pid(1, 1));
+        write_ecp1_page(&old, b"old");
+        assert_eq!(store.recover().unwrap(), vec![(pid(1, 0), 3)]);
+        assert!(!old.exists());
         let _ = fs::remove_dir_all(dir);
     }
 

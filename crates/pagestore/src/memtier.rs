@@ -7,11 +7,11 @@
 //! them — so a byte only leaves the memory/SSD hierarchy through a counted,
 //! remote-backed eviction.
 //!
-//! Frame layout (after the Nexus page-cache spec): the payload plus a
-//! 64-bit FNV-1a checksum computed at publish time, a pin count that shields
-//! the frame from demotion while integrations hold a reference into it, and
-//! a dirty flag reserved for a future write-back path (read-through frames
-//! are always clean). Serving a memory hit is a zero-copy
+//! Frame layout (after the Nexus page-cache spec): the payload plus its
+//! [`page_checksum`] (xxHash64) computed at publish time, a pin count that
+//! shields the frame from demotion while integrations hold a reference into
+//! it, and a dirty flag reserved for a future write-back path (read-through
+//! frames are always clean). Serving a memory hit is a zero-copy
 //! [`Bytes::slice`] of the frame — no write lock, no data copy. Integrity
 //! is enforced at the tier boundary: [`MemTierStore::verified_full`]
 //! re-checks the checksum before any frame's bytes leave the tier whole.
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use edgecache_common::error::{Error, Result};
-use edgecache_common::hash::fnv1a64;
+use edgecache_common::hash::page_checksum;
 use parking_lot::RwLock;
 
 use crate::page::PageId;
@@ -32,10 +32,10 @@ use crate::store::PageStore;
 #[derive(Debug)]
 struct Frame {
     data: Bytes,
-    /// FNV-1a over the payload, computed once at publish. Full-frame reads
-    /// (the demotion path, `get_full`) re-verify it, so a frame corrupted in
-    /// memory is detected before its bytes can be demoted to SSD or served
-    /// whole.
+    /// [`page_checksum`] of the payload, computed once at publish.
+    /// Full-frame reads (the demotion path, `get_full`) re-verify it, so a
+    /// frame corrupted in memory is detected before its bytes can be demoted
+    /// to SSD or served whole.
     checksum: u64,
     /// Demotion shield: a pinned frame is skipped by victim selection and
     /// refuses `delete`-via-demotion while any pin is outstanding. Relaxed
@@ -163,7 +163,7 @@ impl MemTierStore {
                     .ok_or_else(|| Error::NotFound(format!("page {id}")))?,
             )
         };
-        if fnv1a64(&frame.data) != frame.checksum {
+        if page_checksum(&frame.data) != frame.checksum {
             return Err(Error::Corrupted(format!("memory frame {id}")));
         }
         Ok(frame.data.clone())
@@ -194,7 +194,7 @@ impl PageStore for MemTierStore {
     fn put(&self, id: PageId, data: &[u8]) -> Result<()> {
         let frame = Arc::new(Frame {
             data: Bytes::copy_from_slice(data),
-            checksum: fnv1a64(data),
+            checksum: page_checksum(data),
             pins: AtomicU32::new(0),
             dirty: AtomicBool::new(false),
         });

@@ -72,6 +72,10 @@ pub struct LoadgenReport {
     pub value_mismatches: u64,
     pub bytes_sent: u64,
     pub bytes_received: u64,
+    /// Client round trips: batches written before waiting for their
+    /// replies. Deterministic — `ceil(requests_per_conn / pipeline_depth)`
+    /// per connection.
+    pub round_trips: u64,
     pub elapsed: Duration,
     pub p50_us: u64,
     pub p99_us: u64,
@@ -238,6 +242,7 @@ fn run_conn(
         stream.write_all(&wire).map_err(|e| format!("write: {e}"))?;
         report.bytes_sent += wire.len() as u64;
         report.requests += batch as u64;
+        report.round_trips += 1;
         issued += batch;
 
         // Collect exactly `batch` replies, in order.
@@ -329,6 +334,7 @@ pub fn run(opts: &LoadgenOptions) -> LoadgenReport {
                 total.value_mismatches += p.value_mismatches;
                 total.bytes_sent += p.bytes_sent;
                 total.bytes_received += p.bytes_received;
+                total.round_trips += p.round_trips;
             }
             Err(e) => {
                 eprintln!("loadgen: connection failed: {e}");

@@ -118,6 +118,39 @@ fn corrupted_page_on_disk_is_detected_and_refetched() {
 }
 
 #[test]
+fn old_layout_page_is_evicted_and_refetched_on_first_read() {
+    let dir = temp_dir("ecp1");
+    let remote = CountingRemote::new(20_000);
+    let file = SourceFile::new("/t/f", 1, 20_000, CacheScope::Global);
+    {
+        let cache = open_cache(&dir, false);
+        cache.read(&file, 0, 20_000, &remote).unwrap();
+    }
+    // Rewrite page 2 in the previous layout: payload ‖ FNV-1a LE ‖ "ECP1".
+    let page = walk(&dir)
+        .into_iter()
+        .find(|p| p.file_name().and_then(|n| n.to_str()) == Some("2"))
+        .expect("expected a page named `2` on disk");
+    let raw = fs::read(&page).unwrap();
+    let payload = &raw[..raw.len() - 12];
+    let mut old = payload.to_vec();
+    old.extend_from_slice(&edgecache::common::hash::fnv1a64(payload).to_le_bytes());
+    old.extend_from_slice(b"ECP1");
+    fs::write(&page, old).unwrap();
+
+    // The default `verify_on_recovery: false` indexes the page unchecked.
+    let cache = open_cache(&dir, true);
+    assert_eq!(cache.metrics().counter("recovered_pages").get(), 5);
+    let reads_before = *remote.reads.lock();
+    let got = cache.read(&file, 0, 20_000, &remote).unwrap();
+    assert_eq!(got.as_ref(), &remote.data[..]);
+    assert_eq!(cache.metrics().counter("evictions.corrupt").get(), 1);
+    assert_eq!(*remote.reads.lock(), reads_before + 1, "one refetch");
+    assert!(fs::read(&page).unwrap().ends_with(b"ECP2"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn leftover_tmp_files_are_discarded_on_recovery() {
     let dir = temp_dir("tmp");
     let remote = CountingRemote::new(10_000);
